@@ -12,7 +12,7 @@ from pyspark.sql import SparkSession
 def get_spark(app: str) -> SparkSession:
     return (
         SparkSession.builder.appName(app)
-        .config("spark.sql.shuffle.partitions", "16")
+        .config("spark.sql.shuffle.partitions", "64")
         .config("spark.sql.execution.arrow.pyspark.enabled", "true")
         .config("spark.sql.autoBroadcastJoinThreshold", -1)
         .getOrCreate()

@@ -48,8 +48,7 @@ def run_topk_runtime(
                 "n_patterns": len(inputs.patterns),
                 "k": k,
                 "t_topk": elapsed,
-                "score_lb": result.score_lb,
-                "score_ub": result.score_ub,
+                "score": result.score,
                 "proved_optimal": result.proved_optimal,
             }
         )

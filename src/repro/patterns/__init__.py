@@ -7,7 +7,5 @@ from repro.patterns.matching import (  # noqa: F401
 )
 from repro.patterns.pattern import (  # noqa: F401
     Pattern,
-    disjoint,
-    generalizes,
     pattern_matches_derivation,
 )

@@ -1,4 +1,4 @@
-"""Driver-side derivation patterns (Def. 4) and their relations.
+"""Driver-side derivation patterns (Def. 4) and the match relation.
 
 A pattern fixes, for each *unbound* variable of a unified rule r_t, a
 constant or a placeholder (encoded ``None``, mirroring the NULL encoding
@@ -70,21 +70,3 @@ def pattern_matches_derivation(
         return False
     return all(a is None or a == d for a, d in zip(p.args, deriv_args))
 
-
-def generalizes(p1: Pattern, p2: Pattern) -> bool:
-    """p1 ≼_p p2 — p2 generalizes p1 (Sec. 8.1): same rule and goal
-    annotations, and at each position p2 has a placeholder or p1's value."""
-    if p1.rule_id != p2.rule_id or p1.goals != p2.goals:
-        return False
-    return all(b is None or a == b for a, b in zip(p1.args, p2.args))
-
-
-def disjoint(p1: Pattern, p2: Pattern) -> bool:
-    """p1 ⊥_p p2 (Sec. 8.1): different rules, different goal annotations,
-    or two different constants at the same position."""
-    if p1.rule_id != p2.rule_id or p1.goals != p2.goals:
-        return True
-    return any(
-        a is not None and b is not None and a != b
-        for a, b in zip(p1.args, p2.args)
-    )

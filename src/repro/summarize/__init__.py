@@ -1,11 +1,9 @@
-"""Top-k provenance summaries: metrics, bounds, search, end-to-end pipeline."""
+"""Top-k provenance summaries: metrics, search, end-to-end pipeline."""
 from repro.summarize.metrics import SampleStore, harmonic, info_of_set  # noqa: F401
-from repro.summarize.bounds import cp_lower, cp_upper, s_lb, s_ub  # noqa: F401
 from repro.summarize.topk import (  # noqa: F401
     SearchResult,
     topk_bestfirst,
     topk_exact,
-    topk_greedy,
 )
 from repro.summarize.pipeline import (  # noqa: F401
     PatternInputs,

@@ -7,7 +7,8 @@
    enumeration when ``use_full``);
 2. **pattern generation** — the LCA self-join (Sec. 6);
 3. **metric estimation** — match counting over the sample (Sec. 7);
-4. **top-k construction** — driver-side best-first search (Sec. 8).
+4. **top-k construction** — driver-side best-first search (Sec. 8.2),
+   scored exactly over the collected sample (see ``topk.py``).
 
 Phases 1–3 are Catalyst plans; the phase boundaries are materialization
 points (persist + count) so the reported per-phase timings measure the
@@ -34,6 +35,8 @@ from repro.sampling.whynot import sample_whynot
 from repro.summarize.metrics import SampleStore, harmonic, info_of_set
 from repro.summarize.topk import SearchResult, topk_bestfirst
 
+MAX_PATTERNS = 64
+
 
 @dataclass
 class Summary:
@@ -44,8 +47,6 @@ class Summary:
     n_s: int
     patterns: tuple[Pattern, ...]
     n_candidates: int
-    score_lb: float
-    score_ub: float
     completeness: float
     informativeness: float
     score: float
@@ -248,18 +249,24 @@ def pattern_inputs(
     )
 
 
-def select_topk(
-    inputs: PatternInputs,
-    k: int,
-    max_patterns: int = 64,
-    max_pops: int = 20_000,
-) -> SearchResult:
-    """Phase 4: prune to the strongest candidates by singleton score
-    (heuristic cap, see DESIGN.md) and run the best-first search."""
-    pruned = sorted(
-        inputs.patterns, key=lambda p: harmonic(p.cp, p.info()), reverse=True
-    )[:max_patterns]
-    return topk_bestfirst(pruned, k, max_pops=max_pops)
+def _cap_order(p: Pattern) -> tuple:
+    """Singleton score descending, then a total order on the pattern itself
+    (rule, goals, args with placeholders first), so the cap does not
+    depend on the order Spark returned the candidates in."""
+    return (
+        -harmonic(p.cp, p.info()),
+        p.rule_id,
+        p.goals,
+        tuple((a is not None, a) for a in p.args),
+    )
+
+
+def select_topk(inputs: PatternInputs, k: int) -> SearchResult:
+    """Phase 4: prune to the ``MAX_PATTERNS`` strongest candidates by
+    singleton score (heuristic cap, see DESIGN.md) and run the best-first
+    search."""
+    pruned = sorted(inputs.patterns, key=_cap_order)[:MAX_PATTERNS]
+    return topk_bestfirst(pruned, k, inputs.store)
 
 
 def summarize(
@@ -271,8 +278,6 @@ def summarize(
     p_success: float = 0.999,
     seed: int = 0,
     domains: dict[str, DataFrame] | None = None,
-    max_patterns: int = 64,
-    max_pops: int = 20_000,
     use_full: bool = False,
     max_n_os: int = 5_000_000,
     max_full_derivations: int | None = 5_000_000,
@@ -297,15 +302,13 @@ def summarize(
         timings["topk"] = 0.0
         timings["total"] = time.perf_counter() - t_start
         return Summary(
-            question, k, n_s, (), 0, 0.0, 0.0, 0.0, 0.0, 0.0, True, timings,
+            question, k, n_s, (), 0, 0.0, 0.0, 0.0, True, timings,
             inputs.per_rule, store,
         )
 
     # --- phase 4: top-k construction ---
     t0 = time.perf_counter()
-    result: SearchResult = select_topk(
-        inputs, k, max_patterns=max_patterns, max_pops=max_pops
-    )
+    result = select_topk(inputs, k)
     timings["topk"] = time.perf_counter() - t0
 
     completeness = store.cp_of_set(result.patterns)
@@ -317,11 +320,9 @@ def summarize(
         n_s=n_s,
         patterns=result.patterns,
         n_candidates=inputs.n_candidates,
-        score_lb=result.score_lb,
-        score_ub=result.score_ub,
         completeness=completeness,
         informativeness=informativeness,
-        score=harmonic(completeness, informativeness),
+        score=result.score,
         proved_optimal=result.proved_optimal,
         timings=timings,
         per_rule=inputs.per_rule,

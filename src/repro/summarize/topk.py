@@ -1,15 +1,23 @@
-"""Top-k summary construction (Sec. 8.2).
+"""Top-k summary construction (Sec. 8.2), scored exactly over the sample.
 
-``topk_bestfirst`` is the paper's algorithm: a priority queue of
-candidate pattern sets ordered by a score *upper* bound; candidates grow
-one pattern at a time; a complete (size-k) candidate whose score lower
-bound dominates every remaining upper bound is provably optimal w.r.t.
-the bounds. If the search exhausts its pop budget without a proof, the
-paper's fallback heuristic returns the complete candidate with the
-highest (sc̲ + sc̄)/2.
+``topk_bestfirst`` is a best-first branch-and-bound over sets of
+candidate patterns. The paper bounds cp(S) from pattern generalization
+and disjointness (Sec. 8.1) because its sample lives in the DBMS; here
+the sample is on the driver, so every candidate's match set is a bitset
+over the sample rows and cp of any set is exact: each sample row carries
+the weight ``rule_weight / n_rule`` and cp(S) is the weight of the union
+of the members' bitsets, as in :meth:`SampleStore.cp_of_set`.
 
-``topk_exact`` (brute force over the sample, exact cp via SampleStore)
-and ``topk_greedy`` exist to validate and to seed comparisons.
+Sets grow one candidate at a time in index order. A partial set of size
+j is bounded by harmonic(min(1, cp(U) + the k−j largest marginal cps of
+the remaining candidates), (Σinfo + the k−j largest remaining infos)/k);
+marginal cps only shrink as the union grows, so the bound is admissible.
+Complete sets are scored exactly. A greedy completion seeds the
+incumbent, and every popped set is also completed greedily (a "dive") so
+that a good incumbent exists even when the pop budget runs out. The
+search proves optimality when no queued bound beats the incumbent.
+
+``topk_exact`` (brute force over all k-subsets) is the test oracle.
 """
 from __future__ import annotations
 
@@ -18,123 +26,138 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Sequence
 
+import numpy as np
+
 from repro.patterns.pattern import Pattern
-from repro.summarize.bounds import cp_lower, cp_upper
-from repro.summarize.metrics import SampleStore, harmonic, info_of_set
+from repro.summarize.metrics import SampleStore, harmonic
+
+MAX_POPS = 20_000
+_EPS = 1e-12
 
 
 @dataclass
 class SearchResult:
-    """Outcome of a top-k search."""
+    """Outcome of a top-k search; ``score`` is exact over the sample."""
 
     patterns: tuple[Pattern, ...]
-    score_lb: float
-    score_ub: float
+    score: float
     proved_optimal: bool
     pops: int
 
 
-def _bounds(
-    cand: Sequence[Pattern], k: int, max_cp: float, max_info: float
-) -> tuple[float, float]:
-    """(sc̲, sc̄) for a candidate of size ≤ k. Incomplete candidates are
-    bounded by best-case extensions (remaining patterns non-overlapping
-    with maximal completeness/informativeness); their lower bound is 0 —
-    termination only ever relies on *complete* candidates' lower bounds."""
-    j = len(cand)
-    cp_u = cp_upper(cand)
-    if j < k:
-        cp_u = min(1.0, cp_u + (k - j) * max_cp)
-        info_u = (sum(p.info() for p in cand) + (k - j) * max_info) / k
-        return 0.0, harmonic(cp_u, info_u)
-    info = info_of_set(cand)
-    lb = harmonic(cp_lower(cand), info)
-    ub = harmonic(cp_u, info)
-    return min(lb, ub), ub
+def _match_matrix(
+    pats: Sequence[Pattern], store: SampleStore
+) -> tuple[np.ndarray, np.ndarray]:
+    """One row per candidate: its match bitset laid over all rules' sample
+    rows side by side, as 0/1 floats; plus the per-column weights.
+
+    Sample rows that every candidate matches alike are merged into one
+    column carrying their summed weight, and rows no candidate matches are
+    dropped: neither changes the cp of any set, and the search then works
+    on a few dozen columns instead of n_S.
+    """
+    offsets, weights, start = {}, [], 0
+    for rule_id, rows in store.rules.items():
+        n = len(rows.args)
+        offsets[rule_id] = start
+        weights.append(np.full(n, rows.weight / n if n else 0.0))
+        start += n
+    matrix = np.zeros((len(pats), start))
+    for i, p in enumerate(pats):
+        lo = offsets[p.rule_id]
+        mask = store._mask(p)
+        matrix[i, lo:lo + len(mask)] = mask
+    weight = np.concatenate(weights)
+    matched = matrix.any(axis=0)
+    columns, which = np.unique(matrix[:, matched].T, axis=0, return_inverse=True)
+    return columns.T.copy(), np.bincount(which.ravel(), weights=weight[matched])
+
+
+def _harmonic(cp: np.ndarray, info: np.ndarray) -> np.ndarray:
+    """Vectorized :func:`harmonic` for cp, info ≥ 0."""
+    return 2 * cp * info / np.maximum(cp + info, 1e-300)
+
+
+def _suffix_top_sums(values: np.ndarray, r: int, later: np.ndarray) -> np.ndarray:
+    """out[t] = sum of the r largest of values[t+1:] for values ≥ 0 (a
+    suffix shorter than r sums what it has); ``later`` is the strict upper
+    triangle of an n×n boolean matrix."""
+    n = len(values)
+    r = min(r, n)
+    if r <= 0:
+        return np.zeros(n)
+    return np.partition(later * values, n - r, axis=1)[:, n - r:].sum(axis=1)
 
 
 def topk_bestfirst(
-    patterns: Sequence[Pattern], k: int, max_pops: int = 100_000
+    patterns: Sequence[Pattern], k: int, store: SampleStore
 ) -> SearchResult:
-    """Best-first search for the top-k summary using completeness bounds.
+    """Best-first search for the top-k summary, scored exactly on ``store``.
 
-    A greedy solution seeds the incumbent; candidates whose upper bound
-    cannot beat the incumbent's lower bound are pruned at push time, so
-    the queue stays small even for k = 10 over dozens of patterns.
+    Gives up after ``MAX_POPS`` expanded sets and then returns the best
+    complete set found so far with ``proved_optimal=False``.
     """
-    pats = sorted(patterns, key=lambda p: (-p.cp, -p.info()))
+    pats = list(patterns)
     if not pats:
         raise ValueError("no patterns to summarize")
     if len(pats) <= k:
-        lb, ub = _bounds(pats, len(pats), 0.0, 0.0)
-        return SearchResult(tuple(pats), lb, ub, True, 0)
-    max_cp = max(p.cp for p in pats)
-    max_info = max(p.info() for p in pats)
+        return SearchResult(tuple(pats), store.score_of_set(pats), True, 0)
+    n = len(pats)
+    matrix, weight = _match_matrix(pats, store)
+    total = float(weight.sum())
+    info = np.array([p.info() for p in pats])
+    later = np.triu(np.ones((n, n), dtype=bool), 1)
+    # info_top[r][i]: the r largest infos among the candidates after i
+    info_top = [_suffix_top_sums(info, r, later) for r in range(k)]
 
-    greedy = topk_greedy(pats, k)
-    # incumbent: (index tuple or None, lb, ub); greedy's indices unknown —
-    # recover them for a well-formed result
-    greedy_idx = tuple(sorted(pats.index(p) for p in greedy.patterns))
-    best_complete: tuple[tuple[int, ...], float, float] = (
-        greedy_idx, greedy.score_lb, greedy.score_ub
-    )
-    eps = 1e-12
+    best: tuple[int, ...] = ()
+    best_score = -1.0
 
-    # heap entries: (-ub, tiebreak, candidate index tuple, lb)
-    heap: list[tuple[float, int, tuple[int, ...], float]] = []
-    tiebreak = 0
-    for i in range(len(pats)):
-        lb, ub = _bounds([pats[i]], k, max_cp, max_info)
-        if ub > best_complete[1] + eps:
-            heapq.heappush(heap, (-ub, tiebreak, (i,), lb))
-            tiebreak += 1
+    def dive(chosen: list[int], uncovered: np.ndarray) -> None:
+        """Complete a set greedily by exact score; keep it if it is best."""
+        nonlocal best, best_score
+        cp = total - float(weight @ uncovered)
+        info_sum = float(info[chosen].sum())
+        while len(chosen) < k:
+            gain = matrix @ (weight * uncovered)
+            scores = _harmonic(cp + gain, (info_sum + info) / (len(chosen) + 1))
+            scores[chosen] = -1.0
+            i = int(np.argmax(scores))
+            chosen.append(i)
+            cp += float(gain[i])
+            info_sum += float(info[i])
+            uncovered = uncovered * (1.0 - matrix[i])
+        score = harmonic(cp, info_sum / k)
+        if score > best_score + _EPS:
+            best, best_score = tuple(sorted(chosen)), score
 
+    # heap entries: (-upper bound, candidate index tuple)
+    heap: list[tuple[float, tuple[int, ...]]] = [(-2.0, ())]
     pops = 0
-    proved = False
-    while heap and pops < max_pops:
-        neg_ub, _, cand, lb = heapq.heappop(heap)
-        ub = -neg_ub
+    while heap and -heap[0][0] > best_score + _EPS and pops < MAX_POPS:
+        _, cand = heapq.heappop(heap)
         pops += 1
-        if ub <= best_complete[1] + eps:
-            # nothing left can beat the incumbent — optimal w.r.t. bounds
-            proved = True
-            break
-        if len(cand) == k:
-            if (lb + ub) > (best_complete[1] + best_complete[2]):
-                best_complete = (cand, lb, ub)
-            continue
-        for i in range(cand[-1] + 1, len(pats)):
-            nxt = cand + (i,)
-            nlb, nub = _bounds([pats[j] for j in nxt], k, max_cp, max_info)
-            if len(nxt) == k and (nlb + nub) > (
-                best_complete[1] + best_complete[2]
-            ):
-                best_complete = (nxt, nlb, nub)
-            if len(nxt) < k and nub > best_complete[1] + eps:
-                heapq.heappush(heap, (-nub, tiebreak, nxt, nlb))
-                tiebreak += 1
-    else:
-        proved = not heap  # queue drained: incumbent dominates everything
+        uncovered = np.prod(1.0 - matrix[list(cand)], axis=0)
+        dive(list(cand), uncovered)
+        first = cand[-1] + 1 if cand else 0
+        r = k - len(cand) - 1  # members a child still needs after itself
+        last = n - r  # a child must leave room to complete
+        if r == 0 or first >= last:
+            continue  # complete children: the dive already took the best
+        cp = total - float(weight @ uncovered)
+        info_sum = float(info[list(cand)].sum())
+        gain = matrix[first:] @ (weight * uncovered)
+        cp_ub = np.minimum(
+            1.0, cp + gain + _suffix_top_sums(gain, r, later[first:, first:])
+        )
+        info_ub = (info_sum + info[first:] + info_top[r][first:]) / k
+        ub = _harmonic(cp_ub, info_ub)[: last - first]
+        for t in np.flatnonzero(ub > best_score + _EPS):
+            heapq.heappush(heap, (-float(ub[t]), cand + (first + int(t),)))
 
-    c, clb, cub = best_complete
-    return SearchResult(tuple(pats[i] for i in c), clb, cub, proved, pops)
-
-
-def topk_greedy(patterns: Sequence[Pattern], k: int) -> SearchResult:
-    """Greedy top-k by marginal bound midpoint — cheap fallback seed."""
-    pats = list(patterns)
-    chosen: list[Pattern] = []
-    while pats and len(chosen) < k:
-        best_i, best_v = 0, float("-inf")
-        for i, p in enumerate(pats):
-            cand = chosen + [p]
-            lb, ub = _bounds(cand, len(cand), 0.0, 0.0)
-            v = (lb + ub) / 2
-            if v > best_v:
-                best_i, best_v = i, v
-        chosen.append(pats.pop(best_i))
-    lb, ub = _bounds(chosen, len(chosen), 0.0, 0.0)
-    return SearchResult(tuple(chosen), lb, ub, False, 0)
+    proved = not heap or -heap[0][0] <= best_score + _EPS
+    chosen = tuple(pats[i] for i in best)
+    return SearchResult(chosen, store.score_of_set(chosen), proved, pops)
 
 
 def topk_exact(
@@ -150,4 +173,4 @@ def topk_exact(
         if s > best_score:
             best, best_score = combo, s
     assert best is not None
-    return SearchResult(best, best_score, best_score, True, 0)
+    return SearchResult(best, best_score, True, 0)

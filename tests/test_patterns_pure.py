@@ -1,16 +1,10 @@
-"""Driver-side pattern semantics: matching, informativeness,
-generalization, disjointness, and the pure-Python LCA/match references
-(Examples 7–9 of the paper)."""
+"""Driver-side pattern semantics: matching, informativeness, and the
+pure-Python LCA/match references (Examples 7–9 of the paper)."""
 import pytest
 
 from repro.patterns.lca import lca_reference
 from repro.patterns.matching import match_reference
-from repro.patterns.pattern import (
-    Pattern,
-    disjoint,
-    generalizes,
-    pattern_matches_derivation,
-)
+from repro.patterns.pattern import Pattern, pattern_matches_derivation
 
 
 def mk(args, goals=(False, False), rule_id="rex", cp=0.0, count=0):
@@ -94,51 +88,6 @@ class TestMatches:
         ]
         matched = [d for d in prov if pattern_matches_derivation(p, *d)]
         assert len(matched) == 4
-
-
-class TestGeneralizes:
-    def test_paper_example(self):
-        # (X, Y, a)-(F,F) generalizes (X, b, a)-(F,F)
-        general = mk((None, None, "a"))
-        specific = mk((None, "b", "a"))
-        assert generalizes(specific, general)
-        assert not generalizes(general, specific)
-
-    def test_reflexive(self):
-        p = mk((None, 3))
-        assert generalizes(p, p)
-
-    def test_needs_same_goals(self):
-        assert not generalizes(mk((None, 3), (True, False)), mk((None, None)))
-
-    def test_needs_same_rule(self):
-        assert not generalizes(mk((None, 3)), mk((None, None), rule_id="other"))
-
-    def test_constant_conflict(self):
-        assert not generalizes(mk((1, None)), mk((2, None)))
-
-
-class TestDisjoint:
-    def test_different_constants_same_position(self):
-        assert disjoint(mk((2, None)), mk((3, None)))
-
-    def test_different_goals(self):
-        assert disjoint(mk((None, None), (True, False)), mk((None, None)))
-
-    def test_different_rules(self):
-        assert disjoint(mk((None, None)), mk((None, None), rule_id="other"))
-
-    def test_overlapping_not_disjoint(self):
-        assert not disjoint(mk((2, None)), mk((None, 1)))
-        assert not disjoint(mk((None, None)), mk((2, 1)))
-
-    def test_example10_relations(self):
-        p = mk((2, None))
-        p_prime = mk((3, None))
-        p_dblprime = mk((2, 1))
-        assert disjoint(p, p_prime)
-        assert disjoint(p_prime, p_dblprime)
-        assert generalizes(p_dblprime, p)  # p'' ≼_p p
 
 
 class TestLcaReference:

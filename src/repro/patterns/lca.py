@@ -6,6 +6,13 @@ constant, positions where it disagrees become a placeholder (NULL).
 Every candidate therefore matches ≥ 2 sample derivations (≥ 1 for
 self-pairs), and at most |S|² candidates are generated instead of the
 O((|𝔻|+n)ⁿ·2^m) full pattern space.
+
+``summarize()`` computes the LCA on the driver over the collected sample
+(``repro.patterns.kernel.lca``). The Spark ``lca_candidates`` here is no
+longer called by the pipeline; it remains only for the benchmark's
+traced replay, which checks it against ``lca_reference``. Deleting it
+waits for a benchmark change that points that replay at the kernel.
+``lca_reference`` is the test oracle for both.
 """
 from __future__ import annotations
 
@@ -18,7 +25,8 @@ from pyspark.sql import functions as F
 def lca_candidates(
     sample: DataFrame, var_cols: list[str], goal_cols: list[str]
 ) -> DataFrame:
-    """Q_lca: distinct LCA generalizations of all sample pairs.
+    """Q_lca: distinct LCA generalizations of all sample pairs, as a
+    Spark plan (traced replay only; see the module docstring).
 
     Output schema matches the sample (variable columns become nullable;
     NULL encodes a placeholder).
@@ -39,7 +47,8 @@ def lca_candidates(
 def lca_reference(
     rows: list[tuple[tuple, tuple[bool, ...]]]
 ) -> set[tuple[tuple, tuple[bool, ...]]]:
-    """Pure-Python LCA over (args, goals) rows — test oracle for Q_lca."""
+    """Pure-Python LCA over (args, goals) rows — test oracle for Q_lca
+    and the driver-side kernel."""
     out: set[tuple[tuple, tuple[bool, ...]]] = set()
     for (a_args, a_goals), (b_args, b_goals) in combinations_with_replacement(
         rows, 2

@@ -5,6 +5,15 @@ and, per variable position, ``pattern IS NULL OR pattern = sample``; a
 group-count per pattern yields |matches in S|, whose fraction of |S| is
 an unbiased estimate of the pattern's completeness (Def. 7) as long as
 the sample is unbiased (Theorem 1).
+
+``summarize()`` counts matches on the driver over the collected sample
+(``repro.patterns.kernel.match_counts``), with the kernel that also gives
+the top-k search its match bitsets. The Spark ``match_counts`` and
+``collect_patterns`` here are no longer called by the pipeline; they
+remain only for the benchmark's traced replay, which checks them against
+``match_reference``. Deleting them waits for a benchmark change that
+points that replay at the kernel. ``match_reference`` is the test oracle
+for both.
 """
 from __future__ import annotations
 
@@ -20,7 +29,8 @@ def match_counts(
     var_cols: list[str],
     goal_cols: list[str],
 ) -> DataFrame:
-    """Q_match: pattern columns + ``match_count`` over the sample."""
+    """Q_match: pattern columns + ``match_count`` over the sample, as a
+    Spark plan (traced replay only; see the module docstring)."""
     renamed = patterns.select(
         *[F.col(v).alias(f"__p_{v}") for v in var_cols],
         *[F.col(g).alias(f"__p_{g}") for g in goal_cols],
@@ -42,7 +52,8 @@ def match_reference(
     patterns: list[tuple[tuple, tuple[bool, ...]]],
     rows: list[tuple[tuple, tuple[bool, ...]]],
 ) -> dict[tuple[tuple, tuple[bool, ...]], int]:
-    """Pure-Python match counting — test oracle for Q_match."""
+    """Pure-Python match counting — test oracle for Q_match and the
+    driver-side kernel."""
     out: dict[tuple[tuple, tuple[bool, ...]], int] = {}
     for p_args, p_goals in patterns:
         n = sum(

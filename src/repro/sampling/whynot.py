@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
 
-from repro.core.ast import Program
+from repro.core.ast import Program, Var
 from repro.core.unify import PTuple, UnifiedRule, unify_program
 from repro.engine.catalog import Catalog
 from repro.engine.eval import comparison_column, evaluate
@@ -56,8 +56,6 @@ class RuleSample:
 
 def _empty_sample(catalog, unified, dom_dfs):
     """An empty DataFrame with the annotated-derivation schema of the rule."""
-    from repro.provenance.annotate import annotate_goals
-
     bind = None
     for var in unified.unbound:
         d = dom_dfs[var.name].limit(0)
@@ -95,8 +93,6 @@ def sample_whynot_rule(
     n_all = 1
     for s in dom_sizes.values():
         n_all *= s
-    from repro.core.ast import Var
-
     head_has_unbound = any(
         isinstance(a, Var) for a in unified.rule.head.args
     )

@@ -4,8 +4,10 @@ The score of a summary S is the harmonic mean of completeness cp(S) and
 informativeness info(S). cp(S) needs the size of the *union* of match
 sets; :class:`SampleStore` holds the per-rule sample derivations on the
 driver and computes that union exactly over the sample with cached
-per-pattern match bitsets. For multi-rule (UCQ) questions each rule's
-sample is weighted by the rule's (estimated) share of |PROV(Φ)|.
+per-pattern match bitsets, from the same match kernel that counts the
+LCA candidates' matches (``repro.patterns.kernel``). For multi-rule (UCQ)
+questions each rule's sample is weighted by the rule's (estimated) share
+of |PROV(Φ)|.
 """
 from __future__ import annotations
 
@@ -14,6 +16,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from repro.patterns.kernel import CodedRows, matches
 from repro.patterns.pattern import Pattern
 
 
@@ -37,6 +40,7 @@ class _RuleRows:
     args: list[tuple]
     goals: list[tuple[bool, ...]]
     weight: float
+    coded: CodedRows
 
 
 @dataclass
@@ -54,7 +58,10 @@ class SampleStore:
         weight: float,
     ) -> None:
         self.rules[rule_id] = _RuleRows(
-            args=[r[0] for r in rows], goals=[r[1] for r in rows], weight=weight
+            args=[r[0] for r in rows],
+            goals=[r[1] for r in rows],
+            weight=weight,
+            coded=CodedRows(rows),
         )
 
     def normalize_weights(self) -> None:
@@ -70,20 +77,15 @@ class SampleStore:
         """Boolean vector over the pattern's rule-sample: which sample
         derivations match p (cached — the expensive part of cp(S))."""
         cached = self._mask_cache.get(p)
-        if cached is not None:
-            return cached
-        rows = self.rules[p.rule_id]
-        n = len(rows.args)
-        mask = np.zeros(n, dtype=bool)
-        const_pos = [i for i, a in enumerate(p.args) if a is not None]
-        for j in range(n):
-            if rows.goals[j] != p.goals:
-                continue
-            d = rows.args[j]
-            if all(p.args[i] == d[i] for i in const_pos):
-                mask[j] = True
-        self._mask_cache[p] = mask
-        return mask
+        if cached is None:
+            coded = self.rules[p.rule_id].coded
+            row = coded.encode(p.args, p.goals)
+            if row is None:
+                cached = np.zeros(len(coded.table), dtype=bool)
+            else:
+                cached = matches(row[None, :], coded.table)[0]
+            self._mask_cache[p] = cached
+        return cached
 
     def cp_of_pattern(self, p: Pattern) -> float:
         rows = self.rules[p.rule_id]

@@ -5,14 +5,18 @@
 1. **capture/sampling** — why: instrumented evaluation (+ uniform cut to
    n_S); why-not: the batch sampling pipeline of Sec. 5 (or the FULL
    enumeration when ``use_full``);
-2. **pattern generation** — the LCA self-join (Sec. 6);
+2. **pattern generation** — the LCA generalization of all sample pairs
+   (Sec. 6);
 3. **metric estimation** — match counting over the sample (Sec. 7);
 4. **top-k construction** — driver-side best-first search (Sec. 8.2),
    scored exactly over the collected sample (see ``topk.py``).
 
-Phases 1–3 are Catalyst plans; the phase boundaries are materialization
-points (persist + count) so the reported per-phase timings measure the
-actual work, mirroring the per-phase bars of Figs. 6–7.
+Phase 1 is a Catalyst plan per rule whose sample (at most n_S rows) is
+collected to the driver exactly once. Phases 2–3 then run on the driver
+over that collected sample with the NumPy kernel of
+``repro.patterns.kernel`` instead of the paper's Q_lca / Q_match SQL;
+the same kernel gives the top-k search its match bitsets, so
+completeness is computed one way only.
 """
 from __future__ import annotations
 
@@ -25,13 +29,12 @@ from pyspark.sql import functions as F
 from repro.core.ast import Program
 from repro.core.unify import WHY, WHYNOT, PQuestion, UnifiedRule
 from repro.engine.catalog import Catalog
-from repro.patterns.lca import lca_candidates
-from repro.patterns.matching import collect_patterns, match_counts
+from repro.patterns.kernel import lca, match_counts
 from repro.patterns.pattern import Pattern
 from repro.provenance.annotate import goal_column_names
 from repro.provenance.why import why_provenance
 from repro.provenance.whynot_full import whynot_full
-from repro.sampling.whynot import sample_whynot
+from repro.sampling.whynot import RuleSample, sample_whynot
 from repro.summarize.metrics import SampleStore, harmonic, info_of_set
 from repro.summarize.topk import SearchResult, topk_bestfirst
 
@@ -68,12 +71,26 @@ class Summary:
 
 
 def _collect_rows(
-    df: DataFrame, var_cols: list[str], goal_cols: list[str]
+    df: DataFrame, unified: UnifiedRule
 ) -> list[tuple[tuple, tuple[bool, ...]]]:
+    var_cols = [v.name for v in unified.unbound]
+    goal_cols = goal_column_names(unified.n_goals)
     return [
         (tuple(r[v] for v in var_cols), tuple(bool(r[g]) for g in goal_cols))
         for r in df.collect()
     ]
+
+
+@dataclass
+class _Captured:
+    """Phase 1's output for one rule: its collected sample rows, its raw
+    weight (the rule's (estimated) share of |PROV(Φ)| before
+    normalization), and the sampler's statistics for sampled why-not."""
+
+    unified: UnifiedRule
+    rows: list[tuple[tuple, tuple[bool, ...]]]
+    raw_weight: float
+    sampled: RuleSample | None = None
 
 
 def _capture(
@@ -87,36 +104,31 @@ def _capture(
     use_full: bool,
     max_n_os: int,
     max_full_derivations: int | None,
-) -> list[tuple[UnifiedRule, DataFrame, float]]:
-    """Phase 1: per rule, (unified rule, sample DataFrame, raw weight).
+) -> list[_Captured]:
+    """Phase 1: per rule, the sample collected to the driver once.
 
-    Raw weights are each rule's (estimated) share of |PROV(Φ)| before
-    normalization: exact derivation counts for why / FULL why-not,
+    Raw weights are exact derivation counts for why / FULL why-not and
     estimated why-not sizes for sampled why-not.
     """
-    out: list[tuple[UnifiedRule, DataFrame, float]] = []
+    out: list[_Captured] = []
     if question.qtype == WHY:
         for u, df in why_provenance(catalog, program, question.ptuple):
             df = df.persist()
             full = df.count()
-            if full == 0:
-                df.unpersist()
-                continue
-            sample = (
-                df.orderBy(F.rand(seed + 11)).limit(n_s) if full > n_s else df
-            )
-            out.append((u, sample, float(full)))
+            if full > 0:
+                sample = (
+                    df.orderBy(F.rand(seed + 11)).limit(n_s) if full > n_s
+                    else df
+                )
+                out.append(_Captured(u, _collect_rows(sample, u), float(full)))
+            df.unpersist()
         return out
     if use_full:
         for u, df in whynot_full(
             catalog, program, question.ptuple, domains, max_full_derivations
         ):
-            df = df.persist()
-            full = df.count()
-            if full == 0:
-                df.unpersist()
-                continue
-            out.append((u, df, float(full)))
+            rows = _collect_rows(df, u)
+            out.append(_Captured(u, rows, float(len(rows))))
         return out
     for rs in sample_whynot(
         catalog,
@@ -128,7 +140,8 @@ def _capture(
         domains=domains,
         max_n_os=max_n_os,
     ):
-        out.append((rs.unified, rs.sample, float(rs.est_whynot_size)))
+        rows = _collect_rows(rs.sample, rs.unified)
+        out.append(_Captured(rs.unified, rows, float(rs.est_whynot_size), rs))
     return out
 
 
@@ -142,6 +155,21 @@ class PatternInputs:
     n_candidates: int
     timings: dict[str, float]
     per_rule: list[dict]
+
+
+def _rule_stats(c: _Captured, n_candidates: int, weight: float) -> dict:
+    """One rule's entry of ``Summary.per_rule``; the sampler's statistics
+    are ``None`` unless the rule's why-not provenance was sampled."""
+    rs = c.sampled
+    return {
+        "rule_id": c.unified.rule_id,
+        "n_sample": len(c.rows),  # delivered rows (requested: n_s)
+        "n_candidates": n_candidates,
+        "weight": weight,
+        "n_os": rs.n_os if rs else None,
+        "p_prov": rs.p_prov if rs else None,
+        "est_whynot_size": rs.est_whynot_size if rs else None,
+    }
 
 
 def pattern_inputs(
@@ -160,99 +188,72 @@ def pattern_inputs(
     estimation (phases 1–3 of Sec. 4)."""
     timings: dict[str, float] = {}
 
-    # --- phase 1: capture / sampling ---
+    # --- phase 1: capture / sampling, collected to the driver ---
     t0 = time.perf_counter()
-    captured = _capture(
-        catalog, program, question, n_s, p_success, seed, domains,
-        use_full, max_n_os, max_full_derivations,
-    )
-    per_rule_data = []
-    for u, sample_df, raw_weight in captured:
-        var_cols = [v.name for v in u.unbound]
-        goal_cols = goal_column_names(u.n_goals)
-        sample_df = sample_df.persist()
-        n_rows = sample_df.count()
-        if n_rows == 0:
-            sample_df.unpersist()
-            continue
-        per_rule_data.append(
-            {
-                "unified": u,
-                "sample_df": sample_df,
-                "var_cols": var_cols,
-                "goal_cols": goal_cols,
-                "n_rows": n_rows,
-                "raw_weight": raw_weight,
-            }
+    captured = [
+        c for c in _capture(
+            catalog, program, question, n_s, p_success, seed, domains,
+            use_full, max_n_os, max_full_derivations,
         )
+        if c.rows
+    ]
     timings["sample"] = time.perf_counter() - t0
 
     store = SampleStore()
-    if not per_rule_data:
+    if not captured:
         timings["pattern_gen"] = timings["metrics"] = 0.0
         return PatternInputs([], store, 0, timings, [])
 
-    total_weight = sum(d["raw_weight"] for d in per_rule_data)
-    for d in per_rule_data:
-        d["weight"] = (
-            d["raw_weight"] / total_weight if total_weight > 0
-            else 1.0 / len(per_rule_data)
-        )
+    total_weight = sum(c.raw_weight for c in captured)
+    weights = [
+        c.raw_weight / total_weight if total_weight > 0 else 1.0 / len(captured)
+        for c in captured
+    ]
 
     # --- phase 2: pattern candidate generation (LCA) ---
     t0 = time.perf_counter()
-    for d in per_rule_data:
-        lca_df = lca_candidates(d["sample_df"], d["var_cols"], d["goal_cols"])
-        lca_df = lca_df.persist()
-        d["lca_df"] = lca_df
-        d["n_candidates"] = lca_df.count()
+    candidates = []
+    for c, weight in zip(captured, weights):
+        store.add_rule(c.unified.rule_id, c.rows, weight)
+        candidates.append(lca(store.rules[c.unified.rule_id].coded.table))
     timings["pattern_gen"] = time.perf_counter() - t0
 
     # --- phase 3: metric estimation (match counting) ---
     t0 = time.perf_counter()
     all_patterns: list[Pattern] = []
-    for d in per_rule_data:
-        matched = match_counts(
-            d["lca_df"], d["sample_df"], d["var_cols"], d["goal_cols"]
-        )
-        ps = collect_patterns(
-            matched,
-            d["unified"].rule_id,
-            d["var_cols"],
-            d["goal_cols"],
-            d["n_rows"],
-            weight=d["weight"],
-        )
-        all_patterns.extend(ps)
-        rows = _collect_rows(d["sample_df"], d["var_cols"], d["goal_cols"])
-        store.add_rule(d["unified"].rule_id, rows, d["weight"])
+    for c, weight, cands in zip(captured, weights, candidates):
+        coded = store.rules[c.unified.rule_id].coded
+        counts = match_counts(cands, coded.table)
+        var_names = tuple(v.name for v in c.unified.unbound)
+        n = len(c.rows)
+        for row, count in zip(cands.tolist(), counts.tolist()):
+            args, goals = coded.decode(row)
+            all_patterns.append(Pattern(
+                rule_id=c.unified.rule_id,
+                var_names=var_names,
+                args=args,
+                goals=goals,
+                cp=weight * count / n,
+                count=count,
+            ))
     timings["metrics"] = time.perf_counter() - t0
 
-    per_rule_stats = [
-        {
-            "rule_id": d["unified"].rule_id,
-            "n_sample": d["n_rows"],
-            "n_candidates": d["n_candidates"],
-            "weight": d["weight"],
-        }
-        for d in per_rule_data
-    ]
-    for d in per_rule_data:
-        d["sample_df"].unpersist()
-        d["lca_df"].unpersist()
     return PatternInputs(
         patterns=all_patterns,
         store=store,
-        n_candidates=sum(d["n_candidates"] for d in per_rule_data),
+        n_candidates=sum(len(cands) for cands in candidates),
         timings=timings,
-        per_rule=per_rule_stats,
+        per_rule=[
+            _rule_stats(c, len(cands), weight)
+            for c, weight, cands in zip(captured, weights, candidates)
+        ],
     )
 
 
 def _cap_order(p: Pattern) -> tuple:
     """Singleton score descending, then a total order on the pattern itself
     (rule, goals, args with placeholders first), so the cap does not
-    depend on the order Spark returned the candidates in."""
+    depend on the order the candidates were generated in."""
     return (
         -harmonic(p.cp, p.info()),
         p.rule_id,

@@ -9,6 +9,7 @@ from repro.datasets.graph_r import graph_r, rex_program
 from repro.datasets.license import license_db, r1_program
 from repro.datasets.movies import movies, r4_program
 from repro.engine.catalog import Catalog
+from repro.sampling.whynot import sample_whynot
 from repro.summarize.pipeline import (
     pattern_inputs,
     select_topk,
@@ -138,6 +139,19 @@ class TestWhyPipeline:
             catalog, prog, parse_ptuple("InvalidD(C)"), k=2, n_s=20
         )
         assert s.per_rule[0]["n_sample"] <= 20
+        assert s.per_rule[0]["n_os"] is None  # no sampler ran
+
+    def test_why_capture_leaves_nothing_cached(self, spark):
+        # |Why| > n_S: the full why provenance is persisted to count it
+        # and cut it, and must be unpersisted again
+        catalog = Catalog(spark, license_db(spark, n=500, seed=0))
+        prog = r1_program()
+        cached = spark.sparkContext._jsc.getPersistentRDDs().size()
+        s = summarize_why(
+            catalog, prog, parse_ptuple("InvalidD(C)"), k=2, n_s=20
+        )
+        assert s.per_rule[0]["n_sample"] == 20
+        assert spark.sparkContext._jsc.getPersistentRDDs().size() == cached
 
 
 class TestMultiRule:
@@ -152,6 +166,21 @@ class TestMultiRule:
         assert len(s.per_rule) == 3  # one sample per union branch
         assert abs(sum(r["weight"] for r in s.per_rule) - 1.0) < 1e-9
         assert s.patterns
+        # the sampler's statistics reach the trace unchanged
+        sampled = {
+            rs.rule_id: rs for rs in sample_whynot(
+                catalog, prog, parse_ptuple("Players('tom ford')"), 60,
+                seed=0, max_n_os=100_000,
+            )
+        }
+        for r in s.per_rule:
+            rs = sampled[r["rule_id"]]
+            assert r["n_os"] == rs.n_os >= 60
+            assert r["p_prov"] == rs.p_prov
+            assert 0 < r["p_prov"] <= 1
+            assert r["est_whynot_size"] == rs.est_whynot_size > 0
+            assert r["n_sample"] == s.store.n_rows(r["rule_id"])
+            assert 0 < r["n_sample"] <= 60
 
     def test_r4_union_why(self, spark):
         db = movies(spark, n_movies=150, seed=0)

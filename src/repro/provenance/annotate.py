@@ -30,10 +30,12 @@ def annotate_goals(
 ) -> DataFrame:
     """Append goal annotations ``g1 … gm`` to a derivation DataFrame.
 
-    ``deriv`` must have one column per unbound variable of ``unified``.
-    Relations are projected to the distinct bindings of the goal's
-    variables before the outer join, so duplicate join partners cannot
-    multiply derivation rows.
+    ``deriv`` must have one column per unbound variable of ``unified``;
+    any other columns (such as the sampler's pick order) pass through
+    after the goal columns. Relations are projected to the distinct
+    bindings of the goal's variables before the outer join, so duplicate
+    join partners cannot multiply derivation rows: each input row maps to
+    exactly one output row.
     """
     out = deriv
     for i, atom in enumerate(unified.rule.body):
@@ -64,7 +66,8 @@ def annotate_goals(
         out = out.withColumn(gcol, success)
         out = out.drop(marker, *[f"__g{i + 1}_{v}" for v in g.columns])
     var_cols = [v.name for v in unified.unbound]
-    return out.select(*var_cols, *goal_column_names(unified.n_goals))
+    extra = [c for c in deriv.columns if c not in var_cols]
+    return out.select(*var_cols, *goal_column_names(unified.n_goals), *extra)
 
 
 def filter_result_to_head(result: DataFrame, unified: UnifiedRule) -> Column | None:

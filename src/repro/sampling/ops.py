@@ -9,6 +9,12 @@ express both as Catalyst plans:
 * ``sample_with_replacement`` — a ``spark.range(n)`` of picks carrying
   ``floor(rand(seed)·d)`` indices, joined against the row-numbered
   input: exact uniform sampling with replacement, no driver round-trip.
+
+``sample_whynot`` no longer calls either: it collects each domain once
+and draws Q_bind on the driver (``repro.sampling.whynot``). Both operators
+now serve only the benchmark's traced replay (``perfbench/traced.py``),
+which still times the per-step Spark sampler; deleting them waits for a
+benchmark change that points the replay at the driver-side draw.
 """
 from __future__ import annotations
 

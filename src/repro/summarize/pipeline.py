@@ -2,8 +2,8 @@
 
 ``summarize`` runs, per rule of the UCQ¬< question:
 
-1. **capture/sampling** — why: instrumented evaluation (+ uniform cut to
-   n_S); why-not: the batch sampling pipeline of Sec. 5 (or the FULL
+1. **capture/sampling** — why: instrumented evaluation (+ a cut to n_S
+   ordered by a seeded hash of each row); why-not: the batch sampling pipeline of Sec. 5 (or the FULL
    enumeration when ``use_full``);
 2. **pattern generation** — the LCA generalization of all sample pairs
    (Sec. 6);
@@ -11,8 +11,10 @@
 4. **top-k construction** — driver-side best-first search (Sec. 8.2),
    scored exactly over the collected sample (see ``topk.py``).
 
-Phase 1 is a Catalyst plan per rule whose sample (at most n_S rows) is
-collected to the driver exactly once. Phases 2–3 then run on the driver
+Phase 1 runs the data-sized work per rule in Spark (why capture; the
+why-not domains, Q_der and goal annotation, with Q_bind drawn on the
+driver, see ``repro.sampling.whynot``), and the sample (at most n_S rows)
+is collected to the driver exactly once. Phases 2–3 then run on the driver
 over that collected sample with the NumPy kernel of
 ``repro.patterns.kernel`` instead of the paper's Q_lca / Q_match SQL;
 the same kernel gives the top-k search its match bitsets, so
@@ -116,8 +118,11 @@ def _capture(
             df = df.persist()
             full = df.count()
             if full > 0:
+                # cut by a hash of the seed and the row, the row itself
+                # breaking ties: independent of the partition layout
+                cut = F.xxhash64(F.lit(seed), *df.columns)
                 sample = (
-                    df.orderBy(F.rand(seed + 11)).limit(n_s) if full > n_s
+                    df.orderBy(cut, *df.columns).limit(n_s) if full > n_s
                     else df
                 )
                 out.append(_Captured(u, _collect_rows(sample, u), float(full)))
@@ -158,8 +163,9 @@ class PatternInputs:
 
 
 def _rule_stats(c: _Captured, n_candidates: int, weight: float) -> dict:
-    """One rule's entry of ``Summary.per_rule``; the sampler's statistics
-    are ``None`` unless the rule's why-not provenance was sampled."""
+    """One rule's entry of ``Summary.per_rule``; the sampler's statistics,
+    and ``shortfall`` (requested minus delivered rows), are ``None``
+    unless the rule's why-not provenance was sampled."""
     rs = c.sampled
     return {
         "rule_id": c.unified.rule_id,
@@ -169,6 +175,7 @@ def _rule_stats(c: _Captured, n_candidates: int, weight: float) -> dict:
         "n_os": rs.n_os if rs else None,
         "p_prov": rs.p_prov if rs else None,
         "est_whynot_size": rs.est_whynot_size if rs else None,
+        "shortfall": max(0, rs.n_s - len(c.rows)) if rs else None,
     }
 
 

@@ -211,3 +211,27 @@ class TestPatternInputs:
         inputs = pattern_inputs(catalog, prog, q, n_s=100, seed=7)
         for p in inputs.patterns[:20]:
             assert inputs.store.cp_of_pattern(p) == pytest.approx(p.cp)
+
+
+class TestPartitionIndependence:
+    @pytest.mark.parametrize(
+        "qtype, question, n_s",
+        [(WHY, "InvalidD(C)", 20), (WHYNOT, "InvalidD('city_0')", 100)],
+    )
+    def test_same_summary_under_1_and_64_partitions(
+        self, spark, qtype, question, n_s
+    ):
+        catalog = Catalog(spark, license_db(spark, n=500, seed=0))
+        q = PQuestion(parse_ptuple(question), qtype)
+        key = "spark.sql.shuffle.partitions"
+        old = spark.conf.get(key)
+        out = []
+        try:
+            for partitions in ("1", "64"):
+                spark.conf.set(key, partitions)
+                s = summarize(catalog, r1_program(), q, k=3, n_s=n_s, seed=3)
+                out.append((s.patterns, s.score, s.per_rule))
+        finally:
+            spark.conf.set(key, old)
+        assert out[0][2][0]["n_sample"] == n_s  # the cut ran
+        assert out[0] == out[1]
